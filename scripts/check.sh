@@ -8,8 +8,9 @@
 # membership smoke (fig17 gate: crash detected within the heartbeat bound,
 # zero false downs) plus its oracle byte-identity check, run the chaos
 # fault-injection soak (all legs, including the FlashStore store and
-# detected-membership legs), re-run that soak under ASan+UBSan, then run
-# the rt/ concurrency stress harness natively and under ThreadSanitizer.
+# detected-membership legs), re-run that soak and the OSD commit-pipeline
+# tests under ASan+UBSan, then run the rt/ concurrency stress harness
+# natively and under ThreadSanitizer.
 # Exits non-zero on the first failure.
 set -euo pipefail
 
@@ -128,13 +129,23 @@ echo "=== bench/chaos (fault injection + recovery invariants) ==="
 "$BUILD_DIR/bench/chaos"
 
 echo
-echo "=== bench/chaos under ASan+UBSan ==="
+echo "=== OSD commit pipeline + bench/chaos under ASan+UBSan ==="
 # Leak detection stays on, with one suppression: coroutine frames still
 # suspended at exit (device worker loops; RPC waiters stranded by injected
 # crashes — their reply never arrives, by design). See scripts/lsan.supp.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAFC_SANITIZE=ON
-cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target chaos
+cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target chaos afceph_osd_tests
+# The OSD commit pipeline first: the behaviour goldens, the OsdPipeline
+# suite over every (completion model x store backend) commit path, and the
+# run-then-advance check on ClusterSim::run()'s stats sink. Fake stacks make
+# a write through a dead run() frame fail here instead of corrupting
+# whatever reuses that stack.
+LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+ASAN_OPTIONS="detect_stack_use_after_return=1" \
+  "$ASAN_BUILD_DIR/tests/afceph_osd_tests" \
+  --gtest_filter='Golden.*:CommunityAndAfceph/OsdPipeline.*:OsdMechanism.AdvancingAfterRunLeavesTheResultIntact'
 # The corruption leg first, on its own: torn-write replay, CRC verification
 # and scrub repair walk raw record bytes, so a memory bug there should fail
 # with a focused label before the full soak runs.
@@ -161,7 +172,7 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$ASAN_BUILD_DIR/bench/chaos"
-echo "sanitized chaos soak OK"
+echo "sanitized commit pipeline + chaos soak OK"
 
 echo
 echo "=== rt stress harness (native, 100 seeded iterations) ==="

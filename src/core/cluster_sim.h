@@ -263,6 +263,10 @@ class ClusterSim {
   std::unique_ptr<mon::Monitor> monitor_;
   std::unique_ptr<net::Messenger> mon_msgr_;
   std::unique_ptr<fault::FaultInjector> injector_;
+  /// run()'s measurement sink. A member, not a run() local: ops still in
+  /// flight at the window end record into it whenever the caller advances
+  /// the simulation afterwards (drain, close_all, a follow-up phase).
+  client::RunStats stats_;
   bool ran_ = false;
 };
 

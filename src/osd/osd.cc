@@ -435,39 +435,10 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   co_await dlog_.log(cfg_.log_entries_dispatch);
   ObjectMeta meta = co_await ensure_object_meta(msg.oid);
   co_await charge_cpu(cfg_.prepare_cpu, true);
-
-  const std::uint64_t version = pg.next_version();
-  fs::Transaction txn;
-  txn.write(msg.oid, msg.offset, msg.data);
-  {
-    std::vector<std::pair<std::string, kv::Value>> kvs;
-    kvs.emplace_back(pg.log_key(version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
-    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
-    txn.omap_setkeys(msg.oid, std::move(kvs));
-  }
-  txn.setattrs(msg.oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))},
-                         {"snapset", kv::Value::virt(std::uint32_t(cfg_.attr_ss_bytes))}});
-  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(msg.oid);
-  if (version % cfg_.pg_log_trim_every == 0 && version > pg.log_floor + cfg_.pg_log_keep) {
-    const std::uint64_t new_floor = version - cfg_.pg_log_keep;
-    txn.omap_rmkeyrange(msg.oid, pg.log_key(pg.log_floor), pg.log_key(new_floor));
-    pg.log_floor = new_floor;
-  }
-
-  // Every write refreshes the in-memory object context (community Ceph does
-  // this too); the community/AFCeph difference is the cache's capacity and
-  // whether a miss forces a storage read.
-  {
-    ObjectMeta updated;
-    updated.exists = true;
-    updated.size = std::max(meta.size, msg.offset + msg.data.size());
-    updated.version = version;
-    meta_cache_.insert(msg.oid, updated);
-  }
+  fs::Transaction txn = build_primary_txn(*op, pg, meta, msg.oid, msg.offset, msg.data);
 
   // Splay replication: subops to every replica, ack when all journals
   // (local + replicas) have committed.
-  op->version = version;
   op->commits_needed = unsigned(pg.acting().size());
   for (std::uint32_t peer : pg.acting()) {
     if (peer == id_) continue;
@@ -480,6 +451,45 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   }
   op->commits_planned = op->commits_needed;
   op->min_commits = std::min(cmap_.min_size(), op->commits_needed);
+  co_await submit_primary(op, std::move(txn));
+}
+
+fs::Transaction Osd::build_primary_txn(OpCtx& op, Pg& pg, const ObjectMeta& meta,
+                                       const fs::ObjectId& oid, std::uint64_t offset,
+                                       const Payload& data) {
+  const ClientIoMsg& msg = *op.msg;
+  const std::uint64_t version = pg.next_version();
+  op.version = version;
+  op.local_oid = oid;
+  fs::Transaction txn;
+  txn.write(oid, offset, data);
+  {
+    std::vector<std::pair<std::string, kv::Value>> kvs;
+    kvs.emplace_back(pg.log_key(version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
+    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
+    txn.omap_setkeys(oid, std::move(kvs));
+  }
+  txn.setattrs(oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))},
+                     {"snapset", kv::Value::virt(std::uint32_t(cfg_.attr_ss_bytes))}});
+  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(oid);
+  if (version % cfg_.pg_log_trim_every == 0 && version > pg.log_floor + cfg_.pg_log_keep) {
+    const std::uint64_t new_floor = version - cfg_.pg_log_keep;
+    txn.omap_rmkeyrange(oid, pg.log_key(pg.log_floor), pg.log_key(new_floor));
+    pg.log_floor = new_floor;
+  }
+
+  // Every write refreshes the in-memory object context (community Ceph does
+  // this too); the community/AFCeph difference is the cache's capacity and
+  // whether a miss forces a storage read.
+  ObjectMeta updated;
+  updated.exists = true;
+  updated.size = std::max(meta.size, msg.offset + msg.data.size());
+  updated.version = version;
+  meta_cache_.insert(msg.oid, updated);
+  return txn;
+}
+
+sim::CoTask<void> Osd::submit_primary(OpRef op, fs::Transaction txn) {
   if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
   op->stamp(kStSubmitted, sim_.now());
 
@@ -487,77 +497,17 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   // which is exactly the paper's Fig. 3 step (3) complaint.
   const std::uint64_t jbytes = txn.encoded_bytes();
   const Time admit_t0 = sim_.now();
-  co_await throttles_.filestore_ops.acquire(1);
-  co_await throttles_.filestore_bytes.acquire(jbytes);
-  const bool direct = store_->commit_model() == store::ObjectStore::CommitModel::kStoreDirect;
-  if (!direct) {
-    co_await throttles_.journal_ops.acquire(1);
-    co_await journal_.reserve(jbytes);
-  }
+  co_await admit(jbytes);
   if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
     if (const Time admitted = sim_.now(); admitted > admit_t0) {
       tr->complete(op->span, tr->stage_id(stage::kJournalThrottle), admit_t0, admitted);
     }
   }
   txn.trace = op->span;
-  op->journal_bytes = jbytes;
-  op->txn = std::move(txn);
   op->stamp(kStJournalQ, sim_.now());
   client_writes_++;
-  op->local_oid = msg.oid;
-  note_apply_queued(msg.oid);
-  if (direct) {
-    sim::spawn(flash_commit_path(op));
-  } else {
-    sim::spawn(journal_path(op));
-  }
-}
-
-sim::CoTask<void> Osd::journal_path(OpRef op) {
-  const std::uint64_t seq =
-      co_await journal_.write_entry(op->journal_bytes, op->txn.encode(), op->span);
-  if (seq == 0) co_return;  // journal closing: entry rejected, not committed
-  throttles_.journal_ops.release(1);
-  op->stamp(kStJournaled, sim_.now());
-  co_await dlog_.log(cfg_.log_entries_journal);
-
-  // Write-ahead satisfied: queue the filestore apply.
-  ApplyItem ai;
-  ai.txn = std::move(op->txn);
-  ai.journal_bytes = op->journal_bytes;
-  ai.op = op;
-  ai.oid = op->local_oid;
-  ai.seq = seq;
-  apply_q_.try_push(std::move(ai));
-
-  if (profile_.dedicated_completion) {
-    // OP-lock work only; PG-side status work is deferred to the batched
-    // completion worker.
-    co_await charge_cpu(cfg_.oplock_cpu, false);
-    completion_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
-  } else {
-    finisher_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
-  }
-}
-
-sim::CoTask<void> Osd::flash_commit_path(OpRef op) {
-  // One round trip: queue_transaction resumes with the write both durable
-  // (WAL/COW committed) and applied — there is no separate apply pass to
-  // queue and no journal record to retire later.
-  const std::uint64_t seq = co_await store_->queue_transaction(op->txn, profile_.light_transactions);
-  if (seq == 0) co_return;  // store closing: not committed, must not ack
-  throttles_.filestore_ops.release(1);
-  throttles_.filestore_bytes.release(op->journal_bytes);
-  note_apply_done(op->local_oid);
-  op->stamp(kStJournaled, sim_.now());
-  co_await dlog_.log(cfg_.log_entries_journal);
-
-  if (profile_.dedicated_completion) {
-    co_await charge_cpu(cfg_.oplock_cpu, false);
-    completion_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
-  } else {
-    finisher_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
-  }
+  note_apply_queued(op->local_oid);
+  sim::spawn(commit(std::move(txn), jbytes, op, nullptr, nullptr));
 }
 
 // ---------------------------------------------------------------------------
@@ -571,22 +521,7 @@ sim::CoTask<void> Osd::process_replica_op(WorkItem& item) {
     // map older than ours. Reject before journaling — a stale ex-primary's
     // write must not gain durable copies — and tell it what to catch up to.
     counters_.add("osd.fenced_rep_ops");
-    if (item.conn != nullptr) {
-      auto reply = std::make_shared<RepReplyMsg>();
-      reply->op_id = rep.op_id;
-      reply->pg = rep.pg;
-      reply->from_osd = id_;
-      reply->fenced = true;
-      reply->map_epoch = known_epoch_;
-      net::Message wire;
-      wire.type = kRepReply;
-      wire.size = cfg_.reply_msg_bytes;
-      wire.body = std::move(reply);
-      if (trace::Collector::active() != nullptr) {
-        wire.trace = trace::Span{rep.op_id, trace::osd_track(id_)};
-      }
-      item.conn->send(std::move(wire));
-    }
+    send_rep_reply(rep, item.conn, /*fenced=*/true);
     co_return;
   }
   Pg* pgp = find_pg(item.pg);
@@ -610,87 +545,91 @@ sim::CoTask<void> Osd::process_replica_op(WorkItem& item) {
   if (trace::Collector::active() != nullptr) txn.trace = item_span(item, id_);
 
   const std::uint64_t jbytes = txn.encoded_bytes();
-  co_await throttles_.filestore_ops.acquire(1);
-  co_await throttles_.filestore_bytes.acquire(jbytes);
-  if (store_->commit_model() == store::ObjectStore::CommitModel::kStoreDirect) {
-    replica_ops_++;
-    note_apply_queued(rep.oid);
-    sim::spawn(flash_replica_path(item.rep, item.conn, std::move(txn), jbytes));
-    co_return;
-  }
-  co_await throttles_.journal_ops.acquire(1);
-  co_await journal_.reserve(jbytes);
+  co_await admit(jbytes);
   replica_ops_++;
   note_apply_queued(rep.oid);
-  sim::spawn(replica_journal_path(item.rep, item.conn, std::move(txn), jbytes));
+  sim::spawn(commit(std::move(txn), jbytes, nullptr, item.rep, item.conn));
 }
 
-sim::CoTask<void> Osd::replica_journal_path(std::shared_ptr<RepOpMsg> rep,
-                                            net::Connection* conn, fs::Transaction txn,
-                                            std::uint64_t bytes) {
-  const trace::Span rep_span = txn.trace;
-  const std::uint64_t seq = co_await journal_.write_entry(bytes, txn.encode(), rep_span);
-  if (seq == 0) co_return;  // journal closing: entry rejected, not committed
-  throttles_.journal_ops.release(1);
-  co_await dlog_.log(cfg_.log_entries_journal);
+void Osd::send_rep_reply(const RepOpMsg& rep, net::Connection* conn, bool fenced) {
+  if (conn == nullptr) return;
+  auto reply = std::make_shared<RepReplyMsg>();
+  reply->op_id = rep.op_id;
+  reply->pg = rep.pg;
+  reply->from_osd = id_;
+  reply->fenced = fenced;
+  if (fenced) reply->map_epoch = known_epoch_;
+  net::Message wire;
+  wire.type = kRepReply;
+  wire.size = cfg_.reply_msg_bytes;
+  wire.body = std::move(reply);
+  if (trace::Collector::active() != nullptr) {
+    wire.trace = trace::Span{rep.op_id, trace::osd_track(id_)};
+  }
+  conn->send(std::move(wire));
+}
 
-  ApplyItem ai;
-  ai.txn = std::move(txn);
-  ai.journal_bytes = bytes;
-  ai.oid = rep->oid;
-  ai.seq = seq;
-  apply_q_.try_push(std::move(ai));
+// ---------------------------------------------------------------------------
+// Commit: admission, durability, completion hand-off (both roles)
+// ---------------------------------------------------------------------------
 
-  if (profile_.dedicated_completion) {
-    // AFCeph: send the commit ack straight from the completion context.
-    co_await charge_cpu(cfg_.oplock_cpu, false);
-    if (conn != nullptr) {
-      auto reply = std::make_shared<RepReplyMsg>();
-      reply->op_id = rep->op_id;
-      reply->pg = rep->pg;
-      reply->from_osd = id_;
-      net::Message wire;
-      wire.type = kRepReply;
-      wire.size = cfg_.reply_msg_bytes;
-      wire.body = std::move(reply);
-      wire.trace = rep_span;
-      conn->send(std::move(wire));
-    }
-  } else {
-    // Community: the commit notification is finisher work under the PG lock.
-    finisher_q_.try_push(
-        CompletionEvent{CompletionEvent::kRepCommitSend, nullptr, rep->pg, rep, conn});
+bool Osd::journaled() const {
+  return store_->commit_model() == store::ObjectStore::CommitModel::kJournaled;
+}
+
+sim::CoTask<void> Osd::admit(std::uint64_t bytes) {
+  co_await throttles_.filestore_ops.acquire(1);
+  co_await throttles_.filestore_bytes.acquire(bytes);
+  if (journaled()) {
+    co_await throttles_.journal_ops.acquire(1);
+    co_await journal_.reserve(bytes);
   }
 }
 
-sim::CoTask<void> Osd::flash_replica_path(std::shared_ptr<RepOpMsg> rep,
-                                          net::Connection* conn, fs::Transaction txn,
-                                          std::uint64_t bytes) {
-  const trace::Span rep_span = txn.trace;
-  const std::uint64_t seq = co_await store_->queue_transaction(txn, profile_.light_transactions);
-  if (seq == 0) co_return;  // store closing: not committed, no ack
-  throttles_.filestore_ops.release(1);
-  throttles_.filestore_bytes.release(bytes);
-  note_apply_done(rep->oid);
-  co_await dlog_.log(cfg_.log_entries_journal);
-
-  if (profile_.dedicated_completion) {
-    co_await charge_cpu(cfg_.oplock_cpu, false);
-    if (conn != nullptr) {
-      auto reply = std::make_shared<RepReplyMsg>();
-      reply->op_id = rep->op_id;
-      reply->pg = rep->pg;
-      reply->from_osd = id_;
-      net::Message wire;
-      wire.type = kRepReply;
-      wire.size = cfg_.reply_msg_bytes;
-      wire.body = std::move(reply);
-      wire.trace = rep_span;
-      conn->send(std::move(wire));
-    }
+sim::CoTask<void> Osd::commit(fs::Transaction txn, std::uint64_t bytes, OpRef op,
+                              std::shared_ptr<RepOpMsg> rep, net::Connection* conn) {
+  const fs::ObjectId& oid = op != nullptr ? op->local_oid : rep->oid;
+  const bool journal = journaled();
+  // FileStore: the journal entry is the durability point; the filestore
+  // apply is queued behind it and releases the filestore throttles later.
+  // FlashStore: one round trip — queue_transaction resumes with the write
+  // both durable (WAL/COW committed) and applied, so there is no apply pass
+  // to queue and no journal record to retire.
+  std::uint64_t seq;
+  if (journal) {
+    seq = co_await journal_.write_entry(bytes, txn.encode(), txn.trace);
   } else {
+    seq = co_await store_->queue_transaction(txn, profile_.light_transactions);
+  }
+  if (seq == 0) co_return;  // journal/store closing: not committed, must not ack
+  if (journal) {
+    throttles_.journal_ops.release(1);
+  } else {
+    throttles_.filestore_ops.release(1);
+    throttles_.filestore_bytes.release(bytes);
+    note_apply_done(oid);
+  }
+  if (op != nullptr) op->stamp(kStJournaled, sim_.now());
+  co_await dlog_.log(cfg_.log_entries_journal);
+  // Write-ahead satisfied: queue the filestore apply.
+  if (journal) apply_q_.try_push(ApplyItem{std::move(txn), bytes, op, oid, seq});
+
+  if (!profile_.dedicated_completion) {
+    // Community: the completion is finisher work under the PG lock.
     finisher_q_.try_push(
-        CompletionEvent{CompletionEvent::kRepCommitSend, nullptr, rep->pg, rep, conn});
+        op != nullptr
+            ? CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr}
+            : CompletionEvent{CompletionEvent::kRepCommitSend, nullptr, rep->pg, rep, conn});
+    co_return;
+  }
+  // AFCeph: OP-lock work only. A primary defers its PG-side status work to
+  // the batched completion worker; a replica sends its commit ack straight
+  // from the completion context.
+  co_await charge_cpu(cfg_.oplock_cpu, false);
+  if (op != nullptr) {
+    completion_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
+  } else {
+    send_rep_reply(*rep, conn);
   }
 }
 
@@ -901,23 +840,9 @@ sim::CoTask<void> Osd::finisher_loop() {
         break;
       case CompletionEvent::kApplied:
         break;  // bookkeeping only
-      case CompletionEvent::kRepCommitSend: {
-        if (evt->conn != nullptr) {
-          auto reply = std::make_shared<RepReplyMsg>();
-          reply->op_id = evt->rep->op_id;
-          reply->pg = evt->rep->pg;
-          reply->from_osd = id_;
-          net::Message wire;
-          wire.type = kRepReply;
-          wire.size = cfg_.reply_msg_bytes;
-          wire.body = std::move(reply);
-          if (trace::Collector::active() != nullptr) {
-            wire.trace = trace::Span{evt->rep->op_id, trace::osd_track(id_)};
-          }
-          evt->conn->send(std::move(wire));
-        }
+      case CompletionEvent::kRepCommitSend:
+        send_rep_reply(*evt->rep, evt->conn);
         break;
-      }
     }
     pg->lock().unlock();
   }
@@ -1126,32 +1051,8 @@ sim::CoTask<void> Osd::process_client_write_ec(WorkItem& item) {
     for (auto& par : codec_->encode(chunks)) shards.push_back(Payload::bytes(std::move(par)));
   }
 
-  const std::uint64_t version = pg.next_version();
-  op->version = version;
-  op->local_oid = ec::shard_oid(msg.oid, self_pos);
-  fs::Transaction txn;
-  txn.write(op->local_oid, soff, shards[self_pos]);
-  {
-    std::vector<std::pair<std::string, kv::Value>> kvs;
-    kvs.emplace_back(pg.log_key(version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
-    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
-    txn.omap_setkeys(op->local_oid, std::move(kvs));
-  }
-  txn.setattrs(op->local_oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))},
-                               {"snapset", kv::Value::virt(std::uint32_t(cfg_.attr_ss_bytes))}});
-  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(op->local_oid);
-  if (version % cfg_.pg_log_trim_every == 0 && version > pg.log_floor + cfg_.pg_log_keep) {
-    const std::uint64_t new_floor = version - cfg_.pg_log_keep;
-    txn.omap_rmkeyrange(op->local_oid, pg.log_key(pg.log_floor), pg.log_key(new_floor));
-    pg.log_floor = new_floor;
-  }
-  {
-    ObjectMeta updated;
-    updated.exists = true;
-    updated.size = std::max(meta.size, msg.offset + msg.data.size());
-    updated.version = version;
-    meta_cache_.insert(msg.oid, updated);
-  }
+  fs::Transaction txn =
+      build_primary_txn(*op, pg, meta, ec::shard_oid(msg.oid, self_pos), soff, shards[self_pos]);
 
   // One sub-op per remote shard position; the replica path is EC-oblivious.
   op->commits_needed = 0;
@@ -1172,34 +1073,7 @@ sim::CoTask<void> Osd::process_client_write_ec(WorkItem& item) {
   // Unclamped ack floor: a stripe with fewer than k+1 durable shards must
   // fail, not ack degraded — one further loss would destroy acked data.
   op->min_commits = cmap_.ack_floor();
-  if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
-  op->stamp(kStSubmitted, sim_.now());
-
-  const std::uint64_t jbytes = txn.encoded_bytes();
-  const Time admit_t0 = sim_.now();
-  co_await throttles_.filestore_ops.acquire(1);
-  co_await throttles_.filestore_bytes.acquire(jbytes);
-  const bool direct = store_->commit_model() == store::ObjectStore::CommitModel::kStoreDirect;
-  if (!direct) {
-    co_await throttles_.journal_ops.acquire(1);
-    co_await journal_.reserve(jbytes);
-  }
-  if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
-    if (const Time admitted = sim_.now(); admitted > admit_t0) {
-      tr->complete(op->span, tr->stage_id(stage::kJournalThrottle), admit_t0, admitted);
-    }
-  }
-  txn.trace = op->span;
-  op->journal_bytes = jbytes;
-  op->txn = std::move(txn);
-  op->stamp(kStJournalQ, sim_.now());
-  client_writes_++;
-  note_apply_queued(op->local_oid);
-  if (direct) {
-    sim::spawn(flash_commit_path(op));
-  } else {
-    sim::spawn(journal_path(op));
-  }
+  co_await submit_primary(op, std::move(txn));
 }
 
 sim::CoTask<void> Osd::process_client_read_ec(WorkItem& item) {

@@ -274,7 +274,39 @@ class Osd : public net::Receiver {
   /// Ask the monitor for the current map (once per stuck epoch).
   void request_map();
 
-  // --- journal & completions --------------------------------------------
+  // --- commit pipeline ----------------------------------------------------
+  // Every write, primary or replica, takes one path: admission (throttles,
+  // inside the PG critical section) -> commit (external journal entry, or
+  // the store's own queue_transaction) -> completion (the community finisher
+  // under the PG lock, or AFCeph's OP-lock work plus the batched completion
+  // worker). The roles differ only in what completion does: a primary
+  // records its own commit toward the client ack; a replica sends its
+  // commit ack to the primary.
+
+  /// Primary write transaction on `oid` (the client object, or the
+  /// primary's own EC shard): takes the next PG version, adds the PG log and
+  /// info omap keys, attrs and the log trim, and refreshes the client
+  /// object's cached metadata.
+  fs::Transaction build_primary_txn(OpCtx& op, Pg& pg, const ObjectMeta& meta,
+                                    const fs::ObjectId& oid, std::uint64_t offset,
+                                    const Payload& data);
+  /// Primary tail once the sub-ops are out: arm the watchdog, admit the
+  /// transaction and spawn its commit.
+  sim::CoTask<void> submit_primary(OpRef op, fs::Transaction txn);
+  /// The backend commits through the OSD's external journal (FileStore)
+  /// rather than by itself (FlashStore queue_transaction).
+  bool journaled() const;
+  /// Admission to the commit path: filestore op/byte throttles, plus the
+  /// journal op throttle and ring space when journaled.
+  sim::CoTask<void> admit(std::uint64_t bytes);
+  /// Make one admitted transaction durable, then hand off its completion.
+  /// A primary passes its `op`; a replica passes the sub-op and the
+  /// connection its commit ack goes back on.
+  sim::CoTask<void> commit(fs::Transaction txn, std::uint64_t bytes, OpRef op,
+                           std::shared_ptr<RepOpMsg> rep, net::Connection* conn);
+  /// Replica -> primary commit ack, or (`fenced`) a stale-epoch rejection.
+  void send_rep_reply(const RepOpMsg& rep, net::Connection* conn, bool fenced = false);
+
   struct CompletionEvent {
     enum Kind {
       kCommit,         // primary local journal commit
@@ -287,21 +319,9 @@ class Osd : public net::Receiver {
     std::shared_ptr<RepOpMsg> rep;
     net::Connection* conn;
   };
-  sim::CoTask<void> journal_path(OpRef op);
-  sim::CoTask<void> replica_journal_path(std::shared_ptr<RepOpMsg> rep,
-                                         net::Connection* conn, fs::Transaction txn,
-                                         std::uint64_t bytes);
-  /// FlashStore (kStoreDirect) primary path: the store's own
-  /// queue_transaction is the durability point — no external journal entry,
-  /// no separate apply pass.
-  sim::CoTask<void> flash_commit_path(OpRef op);
-  sim::CoTask<void> flash_replica_path(std::shared_ptr<RepOpMsg> rep,
-                                       net::Connection* conn, fs::Transaction txn,
-                                       std::uint64_t bytes);
   sim::CoTask<void> finisher_loop();           // community: one, PG lock per event
   sim::CoTask<void> completion_worker_loop();  // AFCeph: batched, no PG lock
   void handle_commit_recorded(OpRef& op);      // common bookkeeping
-  sim::CoTask<void> queue_ack(OpRef op);       // community path
   void fast_ack_now(OpRef op);
 
   // --- filestore apply ---------------------------------------------------

@@ -34,15 +34,33 @@ void drive(core::ClusterSim& cluster, Fn fn) {
   ASSERT_TRUE(done) << "cluster coroutine did not finish";
 }
 
-class OsdPipeline : public ::testing::TestWithParam<bool> {
+// The pipeline suite runs every commit path: completion model (community
+// finisher vs AFCeph dedicated worker) x store backend (FileStore behind the
+// NVRAM journal vs FlashStore committing directly).
+struct PipelineParam {
+  bool afceph = false;
+  store::Backend backend = store::Backend::kFile;
+};
+
+// FileStore cases print as the bare profile flag, the suite's parameter
+// before the backend axis existed, so their test ids stay stable.
+void PrintTo(const PipelineParam& p, std::ostream* os) {
+  *os << (p.afceph ? "true" : "false");
+  if (p.backend == store::Backend::kFlash) *os << ", flash";
+}
+
+class OsdPipeline : public ::testing::TestWithParam<PipelineParam> {
  protected:
-  core::Profile profile() const {
-    return GetParam() ? core::Profile::afceph() : core::Profile::community();
+  core::ClusterConfig cluster_config() const {
+    auto cfg = tiny_cluster(GetParam().afceph ? core::Profile::afceph()
+                                              : core::Profile::community());
+    cfg.store_backend = GetParam().backend;
+    return cfg;
   }
 };
 
 TEST_P(OsdPipeline, ReadYourWrites) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(cluster_config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     auto data = Payload::pattern(4096, 0x1234);
@@ -54,7 +72,7 @@ TEST_P(OsdPipeline, ReadYourWrites) {
 }
 
 TEST_P(OsdPipeline, OverwriteVisible) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(cluster_config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     co_await vm.write_once(0, Payload::pattern(4096, 1));
@@ -65,7 +83,7 @@ TEST_P(OsdPipeline, OverwriteVisible) {
 }
 
 TEST_P(OsdPipeline, DataReplicatedToAllActingOsds) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(cluster_config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     co_await vm.write_once(4 * kMiB, Payload::pattern(4096, 9));
@@ -89,7 +107,7 @@ TEST_P(OsdPipeline, DataReplicatedToAllActingOsds) {
 }
 
 TEST_P(OsdPipeline, ConcurrentWritesToSameObjectKeepLastWriterVisible) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(cluster_config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     // Issue 32 sequential overwrites of the same 4K block back-to-back.
@@ -102,7 +120,7 @@ TEST_P(OsdPipeline, ConcurrentWritesToSameObjectKeepLastWriterVisible) {
 }
 
 TEST_P(OsdPipeline, ManyObjectsSurviveVerification) {
-  core::ClusterSim cluster(tiny_cluster(profile()));
+  core::ClusterSim cluster(cluster_config());
   drive(cluster, [&]() -> sim::CoTask<void> {
     auto& vm = cluster.vm(0);
     for (int i = 0; i < 64; i++) {
@@ -119,7 +137,7 @@ TEST_P(OsdPipeline, ManyObjectsSurviveVerification) {
 }
 
 TEST_P(OsdPipeline, PgLogWrittenAndTrimmed) {
-  auto cfg = tiny_cluster(profile());
+  auto cfg = cluster_config();
   cfg.osd.pg_log_keep = 32;
   cfg.osd.pg_log_trim_every = 16;
   core::ClusterSim cluster(cfg);
@@ -147,10 +165,17 @@ TEST_P(OsdPipeline, PgLogWrittenAndTrimmed) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(CommunityAndAfceph, OsdPipeline, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "afceph" : "community";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    CommunityAndAfceph, OsdPipeline,
+    ::testing::Values(PipelineParam{false, store::Backend::kFile},
+                      PipelineParam{true, store::Backend::kFile},
+                      PipelineParam{false, store::Backend::kFlash},
+                      PipelineParam{true, store::Backend::kFlash}),
+    [](const ::testing::TestParamInfo<PipelineParam>& info) {
+      std::string name = info.param.afceph ? "afceph" : "community";
+      if (info.param.backend == store::Backend::kFlash) name += "_flash";
+      return name;
+    });
 
 // ---------------------------------------------------------------------------
 // Mechanism-specific behaviour
@@ -584,6 +609,37 @@ TEST(OsdMechanism, VerifyModeChecksDataEndToEnd) {
   auto r = cluster.run(spec);
   EXPECT_GT(r.read_lat.count(), 0u);
   EXPECT_EQ(r.verify_failures, 0u);
+}
+
+// run() returns at the window end with ops still in flight. Their io_loops
+// record into run()'s sink whenever the caller advances the simulation
+// afterwards, so the sink must outlive run() — and the result run() handed
+// back must not move.
+TEST(OsdMechanism, AdvancingAfterRunLeavesTheResultIntact) {
+  auto cfg = tiny_cluster(core::Profile::afceph());
+  cfg.vms = 4;
+  core::ClusterSim cluster(cfg);
+  auto spec = client::WorkloadSpec::rand_write(4096, 4);
+  spec.write_fraction = 0.7;
+  spec.warmup = 20 * kMillisecond;
+  spec.runtime = 200 * kMillisecond;
+  const core::RunResult r = cluster.run(spec);
+  const double iops = r.write_iops, lat = r.write_lat_ms, p99 = r.write_p99_ms;
+  const std::uint64_t writes = r.write_lat.count(), reads = r.read_lat.count();
+  std::uint64_t completed_at_return = 0;
+  for (std::size_t v = 0; v < cluster.vm_count(); v++) completed_at_return += cluster.vm(v).completed();
+
+  auto& sim = cluster.simulation();
+  sim.run_until(sim.now() + 1 * kSecond);
+
+  std::uint64_t completed_after = 0;
+  for (std::size_t v = 0; v < cluster.vm_count(); v++) completed_after += cluster.vm(v).completed();
+  EXPECT_GT(completed_after, completed_at_return) << "no op was in flight at the window end";
+  EXPECT_EQ(r.write_iops, iops);
+  EXPECT_EQ(r.write_lat_ms, lat);
+  EXPECT_EQ(r.write_p99_ms, p99);
+  EXPECT_EQ(r.write_lat.count(), writes);
+  EXPECT_EQ(r.read_lat.count(), reads);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "core/cluster_sim.h"
@@ -97,6 +98,11 @@ struct DbCorner {
   int l0_trigger;
   std::uint64_t target_file;
 };
+
+// Without a printer gtest prints the raw bytes of the struct, so the test name
+// ctest discovers would carry the string pointer and padding garbage and
+// change with every build.
+void PrintTo(const DbCorner& c, std::ostream* os) { *os << c.name; }
 
 class DbProperty : public ::testing::TestWithParam<DbCorner> {};
 
@@ -243,6 +249,8 @@ struct Shape {
   unsigned per_host;
   unsigned replication;
 };
+
+void PrintTo(const Shape& s, std::ostream* os) { *os << s.name; }
 
 class CrushProperty : public ::testing::TestWithParam<Shape> {};
 

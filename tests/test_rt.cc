@@ -383,9 +383,14 @@ TEST(Throttle, CapsConcurrency) {
   Throttle t(4);
   std::atomic<int> inside{0};
   std::atomic<int> max_inside{0};
+  // Start gate: every thread reaches acquire() together. Without it, slow
+  // thread creation (ThreadSanitizer) can run the threads one after another,
+  // so none ever contends and the blocked count below stays 0.
+  std::atomic<bool> go{false};
   std::vector<std::thread> threads;
   for (int i = 0; i < 16; i++) {
     threads.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
       ASSERT_TRUE(t.acquire());
       const int now = inside.fetch_add(1) + 1;
       int prev = max_inside.load();
@@ -396,6 +401,7 @@ TEST(Throttle, CapsConcurrency) {
       t.release();
     });
   }
+  go.store(true);
   for (auto& th : threads) th.join();
   EXPECT_LE(max_inside.load(), 4);
   EXPECT_GT(t.blocked_acquires(), 0u);
